@@ -1,9 +1,10 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the simulator's hot components:
- * AGT allocation, the coalescer, the cache model, the DRAM model and
- * end-to-end simulated kernel throughput. These guard the simulator's
- * own performance (host wall-clock), not the modelled GPU's.
+ * AGT allocation, the coalescer, the cache model, the DRAM model, the
+ * MSHR file, the contended memory system and end-to-end simulated
+ * kernel throughput. These guard the simulator's own performance (host
+ * wall-clock), not the modelled GPU's.
  */
 
 #include <benchmark/benchmark.h>
@@ -15,6 +16,8 @@
 #include "mem/cache.hh"
 #include "mem/coalescer.hh"
 #include "mem/dram.hh"
+#include "mem/memory_system.hh"
+#include "mem/mshr.hh"
 
 using namespace dtbl;
 
@@ -86,6 +89,56 @@ BM_DramAccess(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DramAccess);
+
+/**
+ * An L2-shaped (128-entry) MSHR file kept full: the find / full /
+ * nextFree / allocate sequence of the L2 primary-miss path, with fills
+ * retiring 400-800 cycles out, so nearly every miss waits for the
+ * earliest entry and its allocate prunes it.
+ */
+void
+BM_MshrFullFile(benchmark::State &state)
+{
+    Mshr mshr(128, 8);
+    Rng rng(23);
+    Cycle now = 0;
+    for (auto _ : state) {
+        const Addr line = rng.nextBounded(1 << 16);
+        if (Mshr::Entry *e = mshr.find(line, now)) {
+            benchmark::DoNotOptimize(mshr.merge(*e));
+        } else {
+            Cycle issue = now;
+            if (mshr.full(now))
+                issue = mshr.nextFree();
+            mshr.allocate(line, issue + 400 + rng.nextBounded(400), issue);
+        }
+        now += 2;
+    }
+}
+BENCHMARK(BM_MshrFullFile);
+
+/**
+ * Scattered single-line loads from every SMX in turn through the
+ * default contended memory model (L1/L2 MSHRs, banked L2, DRAM), one
+ * load per simulated cycle: mostly misses that exhaust the MSHR files.
+ */
+void
+BM_MemorySystemLoadContended(benchmark::State &state)
+{
+    const GpuConfig cfg = GpuConfig::k20c();
+    SimStats stats;
+    MemorySystem ms(cfg, stats);
+    Rng rng(29);
+    Cycle now = 0;
+    unsigned smx = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            ms.load(smx, rng.nextBounded(1 << 24) * 4, now));
+        smx = (smx + 1) % cfg.numSmx;
+        ++now;
+    }
+}
+BENCHMARK(BM_MemorySystemLoadContended);
 
 /** End-to-end: simulated warp instructions per host second. */
 void

@@ -27,7 +27,13 @@ class Dram
      * Issue one line-sized command and return its completion cycle.
      * @param addr line-aligned device address
      * @param is_write write command (no response data needed)
-     * @param now issue cycle (must be non-decreasing across calls)
+     * @param now issue cycle. Calls do not arrive in time order: the
+     *        contended path issues at MSHR back-pressured cycles that can
+     *        lie past the cycle of a later call. Bank and bus state only
+     *        move forward (max with readyUntil/busUntil), so a request
+     *        that arrives after a later-issued one queues behind it, and
+     *        the activity union (BusyTracker) skips any gap before its
+     *        coverage watermark that such a request would have filled.
      */
     Cycle access(Addr addr, bool is_write, Cycle now);
 

@@ -1,55 +1,83 @@
 #include "mem/mshr.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace dtbl {
 
+Mshr::Mshr(unsigned entries, unsigned merge_width)
+    : entries_(entries), mergeWidth_(merge_width)
+{
+    lines_.reserve(entries_);
+    pending_.reserve(entries_);
+}
+
 void
 Mshr::prune(Cycle now)
 {
-    for (auto it = inflight_.begin(); it != inflight_.end();) {
-        if (it->second.fillDone <= now)
-            it = inflight_.erase(it);
-        else
-            ++it;
+    if (now < earliest_)
+        return; // nothing has retired by now
+    // Entry order carries no meaning (lines are unique), so a retired
+    // entry is overwritten by the last one instead of shifting the rest.
+    Cycle earliest = infiniteCycle;
+    std::size_t n = pending_.size();
+    for (std::size_t i = 0; i < n;) {
+        if (pending_[i].fillDone <= now) {
+            --n;
+            lines_[i] = lines_[n];
+            pending_[i] = pending_[n];
+        } else {
+            earliest = std::min(earliest, pending_[i].fillDone);
+            ++i;
+        }
     }
+    lines_.resize(n);
+    pending_.resize(n);
+    earliest_ = earliest;
+}
+
+Mshr::Entry *
+Mshr::lookup(Addr line)
+{
+    const auto it = std::find(lines_.begin(), lines_.end(), line);
+    return it == lines_.end() ? nullptr
+                              : &pending_[std::size_t(it - lines_.begin())];
 }
 
 Mshr::Entry *
 Mshr::find(Addr line, Cycle now)
 {
     prune(now);
-    auto it = inflight_.find(line);
-    return it == inflight_.end() ? nullptr : &it->second;
+    return lookup(line);
 }
 
 bool
 Mshr::full(Cycle now)
 {
     prune(now);
-    return inflight_.size() >= entries_;
+    return pending_.size() >= entries_;
 }
 
 Cycle
 Mshr::nextFree() const
 {
-    DTBL_ASSERT(!inflight_.empty(), "nextFree on an empty MSHR file");
-    Cycle earliest = ~Cycle(0);
-    for (const auto &[line, e] : inflight_)
-        earliest = std::min(earliest, e.fillDone);
-    return earliest;
+    DTBL_ASSERT(!pending_.empty(), "nextFree on an empty MSHR file");
+    return earliest_;
 }
 
 void
 Mshr::allocate(Addr line, Cycle fill_done, Cycle now)
 {
     prune(now);
-    DTBL_ASSERT(inflight_.size() < entries_, "MSHR overflow");
-    DTBL_ASSERT(inflight_.find(line) == inflight_.end(),
+    DTBL_ASSERT(pending_.size() < entries_, "MSHR overflow");
+    DTBL_ASSERT(lookup(line) == nullptr,
                 "allocating an already-pending line");
-    inflight_.emplace(line, Entry{fill_done, 1});
+    lines_.push_back(line);
+    pending_.push_back(Entry{fill_done, 1});
+    earliest_ = std::min(earliest_, fill_done);
     ++allocations_;
-    PmuHistogram::note(occupancyHist_, inflight_.size());
+    PmuHistogram::note(occupancyHist_, pending_.size());
 }
 
 bool
@@ -65,7 +93,9 @@ Mshr::merge(Entry &e)
 void
 Mshr::reset()
 {
-    inflight_.clear();
+    lines_.clear();
+    pending_.clear();
+    earliest_ = infiniteCycle;
     allocations_ = 0;
     merges_ = 0;
     stallCycles_ = 0;

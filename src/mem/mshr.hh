@@ -16,17 +16,28 @@
  *    requests beyond the width wait for the fill but count as stalls,
  *    not merges, mirroring how real secondary-miss slots run out.
  *
- * Entries are pruned lazily: callers present a current cycle and any
- * entry whose fill has retired by then is dropped. Calls arrive in
- * non-decreasing simulated time (the same precondition Dram::access
- * documents), so pruning never resurrects completed fills.
+ * Entries are pruned lazily: every find/full/allocate presents a cycle
+ * and drops each entry whose fill has retired by then (fillDone <= now).
+ * Those cycles are *not* monotonic per file: allocate() prunes at the
+ * request's issue cycle, which back-pressure can push past the `now` of
+ * later calls, so a subsequent find() at an earlier cycle can miss a fill
+ * that was still in flight at that cycle. That is the model's behaviour
+ * (a dropped entry is never resurrected), and the file must keep it
+ * exactly: prune(t) removes precisely the entries with fillDone <= t, in
+ * whatever order the t arrive.
+ *
+ * Storage is two parallel flat arrays (lines, entries) reserved once to
+ * the entry count, so no call allocates, plus an exact cached minimum
+ * fillDone (earliest_): prune returns at once while now < earliest_,
+ * allocate lowers it, and only a prune that retires something compacts
+ * the arrays and recomputes it. nextFree() is that field.
  */
 
 #ifndef DTBL_MEM_MSHR_HH
 #define DTBL_MEM_MSHR_HH
 
 #include <cstdint>
-#include <map>
+#include <vector>
 
 #include "common/types.hh"
 #include "stats/pmu.hh"
@@ -44,17 +55,15 @@ class Mshr
         unsigned requests = 1;
     };
 
-    Mshr(unsigned entries, unsigned merge_width)
-        : entries_(entries), mergeWidth_(merge_width)
-    {
-    }
+    Mshr(unsigned entries, unsigned merge_width);
 
     /** Occupancy histogram recorded at each allocation (may be null). */
     void setOccupancyHistogram(PmuHistogram *h) { occupancyHist_ = h; }
 
     /**
-     * The pending entry covering @p line, or nullptr when no fill is in
-     * flight at @p now. Retired entries are pruned first.
+     * The pending entry covering @p line, or nullptr when the file holds
+     * none after pruning at @p now. The pointer stays valid only until
+     * the next find/full/allocate/reset on this file.
      */
     Entry *find(Addr line, Cycle now);
 
@@ -89,12 +98,21 @@ class Mshr
     void reset();
 
   private:
+    /** Drop every entry with fillDone <= @p now; O(1) before earliest_. */
     void prune(Cycle now);
+    /** The entry for @p line without pruning, or nullptr. */
+    Entry *lookup(Addr line);
 
     unsigned entries_;
     unsigned mergeWidth_;
-    /** line -> pending fill; ordered map keeps iteration deterministic. */
-    std::map<Addr, Entry> inflight_;
+    /**
+     * Pending fills, one per line, unordered: lines_[i] is pending_[i]'s
+     * line. Both are reserved to entries_ and never reallocate.
+     */
+    std::vector<Addr> lines_;
+    std::vector<Entry> pending_;
+    /** min fillDone over pending_, infiniteCycle when it is empty. */
+    Cycle earliest_ = infiniteCycle;
     PmuHistogram *occupancyHist_ = nullptr;
 
     std::uint64_t allocations_ = 0;
