@@ -3,8 +3,9 @@
  * Google-benchmark microbenchmarks of the simulator's hot components:
  * AGT allocation, the coalescer, the cache model, the DRAM model, the
  * MSHR file, the contended memory system and end-to-end simulated
- * kernel throughput. These guard the simulator's own performance (host
- * wall-clock), not the modelled GPU's.
+ * kernel throughput, dense and on sparse divergent warps. These guard
+ * the simulator's own performance (host wall-clock), not the modelled
+ * GPU's.
  */
 
 #include <benchmark/benchmark.h>
@@ -177,6 +178,46 @@ BM_SimulatedVectorAdd(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SimulatedVectorAdd)->Unit(benchmark::kMillisecond);
+
+/**
+ * The SIMT issue path on sparse warps: one TB of 4 warps on one SMX
+ * (the other 12 sleep), warp w keeping w + 1 live lanes through a
+ * 256-iteration ALU chain, as in the irregular families' mostly
+ * inactive warps.
+ */
+void
+BM_SimulatedDivergentAlu(benchmark::State &state)
+{
+    for (auto _ : state) {
+        state.PauseTiming();
+        Program prog;
+        KernelBuilder b("divergent_alu", Dim3{4 * warpSize});
+        Reg tid = b.mov(SReg::TidX);
+        Reg live = b.add(b.shr(tid, 5u), 1u);
+        b.exitIf(b.setp(CmpOp::Ge, DataType::U32, Val(SReg::LaneId), live));
+        Reg acc = b.mov(tid);
+        b.forRange(Val(0u), Val(256u), [&](Reg i) {
+            b.binaryTo(acc, Opcode::Mul, DataType::U32, acc, Val(2654435761u));
+            b.binaryTo(acc, Opcode::Add, DataType::U32, acc, i);
+            b.binaryTo(acc, Opcode::Xor, DataType::U32, acc, Val(SReg::TidX));
+            b.binaryTo(acc, Opcode::Shr, DataType::U32, acc, Val(1u));
+        });
+        b.st(MemSpace::Global, b.add(b.ldParam(0), b.shl(tid, 2u)), acc);
+        const KernelFuncId k = b.build(prog);
+        GpuConfig cfg = GpuConfig::k20c();
+        cfg.globalMemBytes = 8 * 1024 * 1024;
+        Gpu gpu(cfg, prog);
+        const Addr o = gpu.mem().allocate(4 * warpSize * 4);
+        state.ResumeTiming();
+
+        gpu.launch(k, Dim3{1}, {std::uint32_t(o)});
+        gpu.synchronize();
+        state.counters["warp_instrs"] = benchmark::Counter(
+            double(gpu.stats().warpInstrsIssued),
+            benchmark::Counter::kIsRate);
+    }
+}
+BENCHMARK(BM_SimulatedDivergentAlu)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

@@ -289,8 +289,17 @@ Gpu::synchronize()
         unsigned resident = 0;
         {
             DTBL_HPROF_SCOPE("smx");
+            // A sleeping SMX's tick changes nothing, so only those due
+            // are ticked. While the PMU collects, every SMX ticks so that
+            // each cycle's stall slots are charged as it happens.
+#if DTBL_PMU_ENABLED
+            const bool tickAll = pmu_.collecting();
+#else
+            constexpr bool tickAll = false;
+#endif
             for (auto &s : smxs_) {
-                issued += s->tick(now_);
+                if (tickAll || now_ >= s->earliestReady())
+                    issued += s->tick(now_);
                 resident += s->residentWarps();
             }
         }

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <functional>
 
 #include "common/log.hh"
 #include "gpu/gpu.hh"
@@ -11,95 +12,156 @@
 namespace dtbl {
 namespace {
 
-std::uint32_t
-aluCompute(const Instruction &inst, std::uint32_t a, std::uint32_t b,
-           std::uint32_t c)
+/** Lane values of a None operand. */
+constexpr std::array<std::uint32_t, warpSize> kZeroLanes{};
+
+/**
+ * d[lane] = f(a[lane], b[lane], c[lane]) for the lanes of @p exec only,
+ * lowest lane first. A lane reads its sources before writing its own
+ * destination, so @p d may be one of the source rows.
+ */
+template <typename F>
+void
+mapLanes(ActiveMask exec, std::uint32_t *d, const std::uint32_t *a,
+         const std::uint32_t *b, const std::uint32_t *c, F f)
 {
-    const auto s = [](std::uint32_t v) { return std::int32_t(v); };
-    const auto f = [](std::uint32_t v) { return std::bit_cast<float>(v); };
-    const auto fu = [](float v) { return std::bit_cast<std::uint32_t>(v); };
+    for (ActiveMask m = exec; m != 0; m &= m - 1) {
+        const unsigned lane = unsigned(std::countr_zero(m));
+        d[lane] = f(a[lane], b[lane], c[lane]);
+    }
+}
+
+/** Lift a binary op on @p T onto raw 32-bit lane values. */
+template <typename T, typename F>
+auto
+lift(F f)
+{
+    return [f](std::uint32_t x, std::uint32_t y, std::uint32_t) {
+        return std::bit_cast<std::uint32_t>(
+            T(f(std::bit_cast<T>(x), std::bit_cast<T>(y))));
+    };
+}
+
+/** The ALU opcodes that write a register (all but Setp and Selp). */
+void
+aluLanes(const Instruction &inst, ActiveMask exec, std::uint32_t *d,
+         const std::uint32_t *a, const std::uint32_t *b,
+         const std::uint32_t *c)
+{
+    using U = std::uint32_t;
+    using S = std::int32_t;
+    const DataType t = inst.type;
+    const auto map = [&](auto f) { mapLanes(exec, d, a, b, c, f); };
+    // Integer Add/Sub/Mul/Mad wrap as unsigned for S32 too.
+    const auto arith = [&](auto f) {
+        if (t == DataType::F32)
+            map(lift<float>(f));
+        else
+            map(lift<U>(f));
+    };
+    const auto ordered = [&](auto f) {
+        switch (t) {
+          case DataType::F32: return map(lift<float>(f));
+          case DataType::S32: return map(lift<S>(f));
+          case DataType::U32: return map(lift<U>(f));
+        }
+    };
+    const auto asF = [](U v) { return std::bit_cast<float>(v); };
 
     switch (inst.op) {
       case Opcode::Mov:
-        return a;
+        return map([](U x, U, U) { return x; });
       case Opcode::Add:
-        return inst.type == DataType::F32 ? fu(f(a) + f(b)) : a + b;
+        return arith(std::plus<>{});
       case Opcode::Sub:
-        return inst.type == DataType::F32 ? fu(f(a) - f(b)) : a - b;
+        return arith(std::minus<>{});
       case Opcode::Mul:
-        return inst.type == DataType::F32 ? fu(f(a) * f(b)) : a * b;
+        return arith(std::multiplies<>{});
       case Opcode::Mad:
-        return inst.type == DataType::F32 ? fu(f(a) * f(b) + f(c))
-                                          : a * b + c;
+        if (t == DataType::F32) {
+            return map([asF](U x, U y, U z) {
+                return std::bit_cast<U>(asF(x) * asF(y) + asF(z));
+            });
+        }
+        return map([](U x, U y, U z) { return x * y + z; });
       case Opcode::Div:
-        if (inst.type == DataType::F32)
-            return fu(f(a) / f(b));
-        if (b == 0)
-            return 0xffffffffu; // PTX-like: integer div by zero saturates
-        return inst.type == DataType::S32
-                   ? std::uint32_t(s(a) / s(b))
-                   : a / b;
+        if (t == DataType::F32)
+            return map(lift<float>(std::divides<>{}));
+        // PTX-like: integer division by zero saturates (all ones).
+        if (t == DataType::S32)
+            return map(lift<S>([](S x, S y) { return y == 0 ? -1 : x / y; }));
+        return map([](U x, U y, U) { return y == 0 ? ~U(0) : x / y; });
       case Opcode::Rem:
-        if (b == 0)
-            return a;
-        return inst.type == DataType::S32
-                   ? std::uint32_t(s(a) % s(b))
-                   : a % b;
+        if (t == DataType::S32)
+            return map(lift<S>([](S x, S y) { return y == 0 ? x : x % y; }));
+        return map([](U x, U y, U) { return y == 0 ? x : x % y; });
       case Opcode::Min:
-        switch (inst.type) {
-          case DataType::F32: return fu(std::min(f(a), f(b)));
-          case DataType::S32: return std::uint32_t(std::min(s(a), s(b)));
-          case DataType::U32: return std::min(a, b);
-        }
-        break;
+        return ordered([](auto x, auto y) { return std::min(x, y); });
       case Opcode::Max:
-        switch (inst.type) {
-          case DataType::F32: return fu(std::max(f(a), f(b)));
-          case DataType::S32: return std::uint32_t(std::max(s(a), s(b)));
-          case DataType::U32: return std::max(a, b);
-        }
-        break;
-      case Opcode::And: return a & b;
-      case Opcode::Or: return a | b;
-      case Opcode::Xor: return a ^ b;
-      case Opcode::Not: return ~a;
-      case Opcode::Shl: return b >= 32 ? 0 : a << b;
+        return ordered([](auto x, auto y) { return std::max(x, y); });
+      case Opcode::And:
+        return map(lift<U>(std::bit_and<>{}));
+      case Opcode::Or:
+        return map(lift<U>(std::bit_or<>{}));
+      case Opcode::Xor:
+        return map(lift<U>(std::bit_xor<>{}));
+      case Opcode::Not:
+        return map([](U x, U, U) { return ~x; });
+      case Opcode::Shl:
+        return map([](U x, U y, U) { return y >= 32 ? 0 : x << y; });
       case Opcode::Shr:
-        if (inst.type == DataType::S32)
-            return b >= 32 ? std::uint32_t(s(a) >> 31)
-                           : std::uint32_t(s(a) >> b);
-        return b >= 32 ? 0 : a >> b;
+        if (t == DataType::S32) {
+            return map([](U x, U y, U) {
+                return y >= 32 ? U(S(x) >> 31) : U(S(x) >> y);
+            });
+        }
+        return map([](U x, U y, U) { return y >= 32 ? 0 : x >> y; });
       case Opcode::CvtF2I:
-        return std::uint32_t(std::int32_t(f(a)));
+        return map([asF](U x, U, U) { return U(S(asF(x))); });
       case Opcode::CvtI2F:
-        return fu(float(s(a)));
+        return map([](U x, U, U) { return std::bit_cast<U>(float(S(x))); });
       default:
         break;
     }
-    DTBL_PANIC("aluCompute on non-ALU opcode");
+    DTBL_PANIC("aluLanes on non-ALU opcode");
 }
 
-bool
-compare(CmpOp cmp, DataType t, std::uint32_t a, std::uint32_t b)
+/** Lanes of @p exec whose cmp(a, b) holds, read as @p T. */
+template <typename T>
+ActiveMask
+compareLanes(CmpOp cmp, ActiveMask exec, const std::uint32_t *a,
+             const std::uint32_t *b)
 {
-    const auto docmp = [&](auto x, auto y) {
-        switch (cmp) {
-          case CmpOp::Eq: return x == y;
-          case CmpOp::Ne: return x != y;
-          case CmpOp::Lt: return x < y;
-          case CmpOp::Le: return x <= y;
-          case CmpOp::Gt: return x > y;
-          case CmpOp::Ge: return x >= y;
+    const auto test = [&](auto pred) {
+        ActiveMask bits = 0;
+        for (ActiveMask m = exec; m != 0; m &= m - 1) {
+            const unsigned lane = unsigned(std::countr_zero(m));
+            if (pred(std::bit_cast<T>(a[lane]), std::bit_cast<T>(b[lane])))
+                bits |= ActiveMask(1) << lane;
         }
-        return false;
+        return bits;
     };
-    switch (t) {
-      case DataType::U32: return docmp(a, b);
-      case DataType::S32: return docmp(std::int32_t(a), std::int32_t(b));
-      case DataType::F32:
-        return docmp(std::bit_cast<float>(a), std::bit_cast<float>(b));
+    switch (cmp) {
+      case CmpOp::Eq: return test([](T x, T y) { return x == y; });
+      case CmpOp::Ne: return test([](T x, T y) { return x != y; });
+      case CmpOp::Lt: return test([](T x, T y) { return x < y; });
+      case CmpOp::Le: return test([](T x, T y) { return x <= y; });
+      case CmpOp::Gt: return test([](T x, T y) { return x > y; });
+      case CmpOp::Ge: return test([](T x, T y) { return x >= y; });
     }
-    return false;
+    return 0;
+}
+
+ActiveMask
+compareLanes(CmpOp cmp, DataType t, ActiveMask exec, const std::uint32_t *a,
+             const std::uint32_t *b)
+{
+    switch (t) {
+      case DataType::U32: return compareLanes<std::uint32_t>(cmp, exec, a, b);
+      case DataType::S32: return compareLanes<std::int32_t>(cmp, exec, a, b);
+      case DataType::F32: return compareLanes<float>(cmp, exec, a, b);
+    }
+    return 0;
 }
 
 } // namespace
@@ -225,7 +287,8 @@ Smx::tick(Cycle now)
 {
     if (now < nextWake_) {
         // Asleep (or empty): no warp can issue before nextWake_, so the
-        // tick would pick nothing and change no state.
+        // tick would pick nothing and change no state. The cycle loop
+        // only calls a sleeping SMX while the PMU collects.
 #if DTBL_PMU_ENABLED
         if (gpu_.pmu().collecting())
             accountStallSlots(now, 1, 0);
@@ -254,10 +317,11 @@ Smx::tick(Cycle now)
 void
 Smx::refreshNextWake()
 {
-    // Free and barrier-parked slots hold infiniteCycle: a plain min.
+    // Free and barrier-parked slots hold infiniteCycle, so the eligible
+    // slots alone give the exact min.
     Cycle next = infiniteCycle;
-    for (Cycle at : readyAt_)
-        next = std::min(next, at);
+    for (SlotMask m = eligible_; m != 0; m &= m - 1)
+        next = std::min(next, readyAt_[std::countr_zero(m)]);
     nextWake_ = next;
 }
 
@@ -308,20 +372,26 @@ Smx::accountSkippedCycles(Cycle now, std::uint64_t n)
     accountStallSlots(now, n, 0);
 }
 
-std::uint32_t
-Smx::readOperand(const Warp &w, const Operand &op, unsigned lane) const
+const std::uint32_t *
+Smx::operandLanes(const Warp &w, const Operand &op, ActiveMask exec,
+                  LaneValues &buf) const
 {
     switch (op.kind) {
       case Operand::Kind::Reg:
-        return w.readReg(op.value, lane);
+        return w.regRow(op.value);
       case Operand::Kind::Imm:
-        return op.value;
+        buf.fill(op.value);
+        return buf.data();
       case Operand::Kind::Special:
-        return w.sreg(SReg(op.value), lane);
+        for (ActiveMask m = exec; m != 0; m &= m - 1) {
+            const unsigned lane = unsigned(std::countr_zero(m));
+            buf[lane] = w.sreg(SReg(op.value), lane);
+        }
+        return buf.data();
       case Operand::Kind::None:
-        return 0;
+        break;
     }
-    return 0;
+    return kZeroLanes.data();
 }
 
 void
@@ -397,28 +467,31 @@ Smx::issue(Warp &w, Cycle now)
 void
 Smx::execAlu(Warp &w, const Instruction &inst, ActiveMask exec, Cycle now)
 {
-    for (unsigned lane = 0; lane < warpSize; ++lane) {
-        if (!(exec & (1u << lane)))
-            continue;
-        const std::uint32_t a = readOperand(w, inst.src[0], lane);
-        const std::uint32_t b = readOperand(w, inst.src[1], lane);
-        switch (inst.op) {
-          case Opcode::Setp:
-            w.writePred(unsigned(inst.pdst), lane,
-                        compare(inst.cmp, inst.type, a, b));
-            break;
-          case Opcode::Selp: {
-            const bool p = w.readPred(inst.src[2].value, lane);
-            w.writeReg(unsigned(inst.dst), lane, p ? a : b);
-            break;
-          }
-          default: {
-            const std::uint32_t c = readOperand(w, inst.src[2], lane);
-            w.writeReg(unsigned(inst.dst), lane,
-                       aluCompute(inst, a, b, c));
-            break;
-          }
+    LaneValues bufA, bufB, bufC;
+    const std::uint32_t *a = operandLanes(w, inst.src[0], exec, bufA);
+    const std::uint32_t *b = operandLanes(w, inst.src[1], exec, bufB);
+    switch (inst.op) {
+      case Opcode::Setp:
+        w.writePredLanes(unsigned(inst.pdst), exec,
+                         compareLanes(inst.cmp, inst.type, exec, a, b));
+        break;
+      case Opcode::Selp: {
+        const ActiveMask p = w.predMask(inst.src[2].value);
+        std::uint32_t *d = w.regRow(unsigned(inst.dst));
+        for (ActiveMask m = exec; m != 0; m &= m - 1) {
+            const unsigned lane = unsigned(std::countr_zero(m));
+            d[lane] = (p >> lane) & 1 ? a[lane] : b[lane];
         }
+        break;
+      }
+      default: {
+        const std::uint32_t *c = inst.op == Opcode::Mad
+                                     ? operandLanes(w, inst.src[2], exec,
+                                                    bufC)
+                                     : kZeroLanes.data();
+        aluLanes(inst, exec, w.regRow(unsigned(inst.dst)), a, b, c);
+        break;
+      }
     }
     const bool heavy = inst.op == Opcode::Div || inst.op == Opcode::Rem;
     setReady(w, now + (heavy ? cfg_.sfuLatency : cfg_.aluLatency),
@@ -432,12 +505,14 @@ Smx::execMemory(Warp &w, const Instruction &inst, ActiveMask exec,
     GlobalMemory &mem = gpu_.mem();
     ThreadBlock &tb = *w.tb();
 
+    // Every lane loop below walks the set bits of exec in ascending lane
+    // order: same-address stores and atomics resolve last-lane-wins.
+    LaneValues bufA;
+    const std::uint32_t *base = operandLanes(w, inst.src[0], exec, bufA);
     std::array<Addr, warpSize> addrs{};
-    for (unsigned lane = 0; lane < warpSize; ++lane) {
-        if (!(exec & (1u << lane)))
-            continue;
-        addrs[lane] = Addr(readOperand(w, inst.src[0], lane)) +
-                      Addr(std::int64_t(inst.memOffset));
+    for (ActiveMask m = exec; m != 0; m &= m - 1) {
+        const unsigned lane = unsigned(std::countr_zero(m));
+        addrs[lane] = Addr(base[lane]) + Addr(std::int64_t(inst.memOffset));
     }
 
     if (exec == 0) {
@@ -450,28 +525,31 @@ Smx::execMemory(Warp &w, const Instruction &inst, ActiveMask exec,
         san->onMemory(w, inst, w.top().pc, addrs, exec);
 #endif
 
+    // Stored / atomic operand values (unused by loads).
+    LaneValues bufV;
+    const std::uint32_t *val =
+        inst.op == Opcode::Ld ? kZeroLanes.data()
+                              : operandLanes(w, inst.src[1], exec, bufV);
+
     switch (inst.space) {
       case MemSpace::Param: {
         // Parameter buffers live in global memory but are served by a
         // constant-cache-like path with L1-hit latency.
-        for (unsigned lane = 0; lane < warpSize; ++lane) {
-            if (!(exec & (1u << lane)))
-                continue;
-            const Addr a = tb.asg.paramAddr + addrs[lane];
-            if (inst.op == Opcode::Ld) {
-                w.writeReg(unsigned(inst.dst), lane,
-                           mem.read(a, inst.width));
-            } else {
-                DTBL_PANIC("stores to parameter space are not allowed");
-            }
+        if (inst.op != Opcode::Ld)
+            DTBL_PANIC("stores to parameter space are not allowed");
+        std::uint32_t *d = w.regRow(unsigned(inst.dst));
+        for (ActiveMask m = exec; m != 0; m &= m - 1) {
+            const unsigned lane = unsigned(std::countr_zero(m));
+            d[lane] = mem.read(tb.asg.paramAddr + addrs[lane], inst.width);
         }
         setReady(w, now + cfg_.l1.hitLatency, StallReason::DataHazard);
         return;
       }
       case MemSpace::Shared: {
-        for (unsigned lane = 0; lane < warpSize; ++lane) {
-            if (!(exec & (1u << lane)))
-                continue;
+        if (inst.op == Opcode::Atom)
+            DTBL_PANIC("shared-memory atomics not modelled");
+        for (ActiveMask m = exec; m != 0; m &= m - 1) {
+            const unsigned lane = unsigned(std::countr_zero(m));
             const Addr a = addrs[lane];
             DTBL_ASSERT(a + inst.width <= tb.sharedMem.size(),
                         "shared-memory access out of bounds in ",
@@ -481,11 +559,8 @@ Smx::execMemory(Warp &w, const Instruction &inst, ActiveMask exec,
                 std::uint32_t v = 0;
                 std::memcpy(&v, &tb.sharedMem[a], inst.width);
                 w.writeReg(unsigned(inst.dst), lane, v);
-            } else if (inst.op == Opcode::St) {
-                const std::uint32_t v = readOperand(w, inst.src[1], lane);
-                std::memcpy(&tb.sharedMem[a], &v, inst.width);
             } else {
-                DTBL_PANIC("shared-memory atomics not modelled");
+                std::memcpy(&tb.sharedMem[a], &val[lane], inst.width);
             }
         }
         setReady(w, now + cfg_.sharedMemLatency, StallReason::DataHazard);
@@ -497,22 +572,19 @@ Smx::execMemory(Warp &w, const Instruction &inst, ActiveMask exec,
 
     // Global memory: functional at issue + coalesced timing.
     if (inst.op == Opcode::Ld) {
-        for (unsigned lane = 0; lane < warpSize; ++lane) {
-            if (exec & (1u << lane)) {
-                w.writeReg(unsigned(inst.dst), lane,
-                           mem.read(addrs[lane], inst.width));
-            }
+        std::uint32_t *d = w.regRow(unsigned(inst.dst));
+        for (ActiveMask m = exec; m != 0; m &= m - 1) {
+            const unsigned lane = unsigned(std::countr_zero(m));
+            d[lane] = mem.read(addrs[lane], inst.width);
         }
         Cycle done = now;
         for (Addr seg : coalescer_.coalesce(addrs, exec, inst.width))
             done = std::max(done, gpu_.memSys().load(id_, seg, now));
         setReady(w, done, StallReason::MemoryPending);
     } else if (inst.op == Opcode::St) {
-        for (unsigned lane = 0; lane < warpSize; ++lane) {
-            if (exec & (1u << lane)) {
-                mem.write(addrs[lane],
-                          readOperand(w, inst.src[1], lane), inst.width);
-            }
+        for (ActiveMask m = exec; m != 0; m &= m - 1) {
+            const unsigned lane = unsigned(std::countr_zero(m));
+            mem.write(addrs[lane], val[lane], inst.width);
         }
         Cycle accept = now;
         for (Addr seg : coalescer_.coalesce(addrs, exec, inst.width))
@@ -526,11 +598,15 @@ Smx::execMemory(Warp &w, const Instruction &inst, ActiveMask exec,
             setReady(w, now + cfg_.aluLatency, StallReason::PipelineBusy);
         }
     } else { // Atom
-        for (unsigned lane = 0; lane < warpSize; ++lane) {
-            if (!(exec & (1u << lane)))
-                continue;
+        LaneValues bufC;
+        const std::uint32_t *cmp =
+            inst.atom == AtomOp::Cas
+                ? operandLanes(w, inst.src[2], exec, bufC)
+                : kZeroLanes.data();
+        for (ActiveMask m = exec; m != 0; m &= m - 1) {
+            const unsigned lane = unsigned(std::countr_zero(m));
             const Addr a = addrs[lane];
-            const std::uint32_t v = readOperand(w, inst.src[1], lane);
+            const std::uint32_t v = val[lane];
             const std::uint32_t old = mem.read32(a);
             std::uint32_t next = old;
             switch (inst.atom) {
@@ -553,12 +629,9 @@ Smx::execMemory(Warp &w, const Instruction &inst, ActiveMask exec,
                                                     std::int32_t(v)))
                            : std::max(old, v);
                 break;
-              case AtomOp::Cas: {
-                const std::uint32_t cmp =
-                    readOperand(w, inst.src[2], lane);
-                next = old == cmp ? v : old;
+              case AtomOp::Cas:
+                next = old == cmp[lane] ? v : old;
                 break;
-              }
               case AtomOp::Exch:
                 next = v;
                 break;
@@ -640,15 +713,22 @@ Smx::execLaunch(Warp &w, const Instruction &inst, ActiveMask exec,
     DeviceRuntime &rt = gpu_.runtime();
     const unsigned callers = std::popcount(exec);
     const GpuConfig &cfg = cfg_;
+    // Launch operands (read by LaunchDevice and LaunchAgg only).
+    LaneValues bufT, bufP;
+    const std::uint32_t *tbsLanes = kZeroLanes.data();
+    const std::uint32_t *paramLanes = kZeroLanes.data();
+    if (inst.isLaunch()) {
+        tbsLanes = operandLanes(w, inst.launch.numTbs, exec, bufT);
+        paramLanes = operandLanes(w, inst.launch.paramAddr, exec, bufP);
+    }
 
     switch (inst.op) {
       case Opcode::GetPBuf: {
         const std::uint32_t bytes = inst.src[0].value;
-        for (unsigned lane = 0; lane < warpSize; ++lane) {
-            if (exec & (1u << lane)) {
-                w.writeReg(unsigned(inst.dst), lane,
-                           std::uint32_t(rt.getParameterBuffer(bytes)));
-            }
+        std::uint32_t *d = w.regRow(unsigned(inst.dst));
+        for (ActiveMask m = exec; m != 0; m &= m - 1) {
+            d[std::countr_zero(m)] =
+                std::uint32_t(rt.getParameterBuffer(bytes));
         }
         setReady(w,
                  now + std::max<Cycle>(1,
@@ -664,14 +744,12 @@ Smx::execLaunch(Warp &w, const Instruction &inst, ActiveMask exec,
         return;
       case Opcode::LaunchDevice: {
         const Cycle lat = rt.latLaunchDevice(callers);
-        for (unsigned lane = 0; lane < warpSize; ++lane) {
-            if (!(exec & (1u << lane)))
-                continue;
-            const std::uint32_t numTbs =
-                readOperand(w, inst.launch.numTbs, lane);
+        for (ActiveMask m = exec; m != 0; m &= m - 1) {
+            const unsigned lane = unsigned(std::countr_zero(m));
+            const std::uint32_t numTbs = tbsLanes[lane];
             if (numTbs == 0)
                 continue;
-            const Addr param = readOperand(w, inst.launch.paramAddr, lane);
+            const Addr param = paramLanes[lane];
             const std::uint32_t paramBytes = rt.claimParamBytes(param);
             gpu_.stats().reserveLaunchBytes(cfg.cdpKernelRecordBytes);
             gpu_.deviceLaunchKernel(
@@ -684,14 +762,12 @@ Smx::execLaunch(Warp &w, const Instruction &inst, ActiveMask exec,
       }
       case Opcode::LaunchAgg: {
         aggReqs_.clear();
-        for (unsigned lane = 0; lane < warpSize; ++lane) {
-            if (!(exec & (1u << lane)))
-                continue;
-            const std::uint32_t numTbs =
-                readOperand(w, inst.launch.numTbs, lane);
+        for (ActiveMask m = exec; m != 0; m &= m - 1) {
+            const unsigned lane = unsigned(std::countr_zero(m));
+            const std::uint32_t numTbs = tbsLanes[lane];
             if (numTbs == 0)
                 continue;
-            const Addr param = readOperand(w, inst.launch.paramAddr, lane);
+            const Addr param = paramLanes[lane];
             const std::uint32_t paramBytes = rt.claimParamBytes(param);
             gpu_.stats().reserveLaunchBytes(cfg.aggGroupRecordBytes);
             AggLaunchRequest r;

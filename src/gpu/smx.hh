@@ -51,7 +51,8 @@ class Smx
     /**
      * Earliest readyAt among eligible (resident, not at a barrier)
      * warps, or max Cycle when none. Exact: the fast-forward jumps
-     * straight to it, and tick() is a no-op before it.
+     * straight to it, and tick() is a no-op before it, so the cycle
+     * loop skips the tick until it (unless the PMU collects).
      */
     Cycle earliestReady() const { return nextWake_; }
 
@@ -128,8 +129,18 @@ class Smx
     void execLaunch(Warp &w, const Instruction &inst, ActiveMask exec,
                     Cycle now);
 
-    std::uint32_t readOperand(const Warp &w, const Operand &op,
-                              unsigned lane) const;
+    /** One 32-bit value per lane. */
+    using LaneValues = std::array<std::uint32_t, warpSize>;
+
+    /**
+     * Decode @p op once for the whole warp: a register's row in place,
+     * an immediate broadcast into @p buf, or each @p exec lane's special
+     * register into @p buf; None reads as zeros. Only the lanes of
+     * @p exec are defined.
+     */
+    const std::uint32_t *operandLanes(const Warp &w, const Operand &op,
+                                      ActiveMask exec,
+                                      LaneValues &buf) const;
 
     void finishWarp(Warp &w, Cycle now);
     void finishTb(ThreadBlock &tb, Cycle now);

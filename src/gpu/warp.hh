@@ -38,34 +38,33 @@ class Warp
     unsigned slot() const { return slot_; }
 
     // --- register file --------------------------------------------------
-    std::uint32_t
-    readReg(unsigned reg, unsigned lane) const
-    {
-        return regs_[reg * warpSize + lane];
-    }
-
     void
     writeReg(unsigned reg, unsigned lane, std::uint32_t v)
     {
         regs_[reg * warpSize + lane] = v;
     }
 
-    bool
-    readPred(unsigned p, unsigned lane) const
+    /** Register @p reg of all lanes, indexed by lane. */
+    const std::uint32_t *
+    regRow(unsigned reg) const
     {
-        return preds_[p] & (1u << lane);
+        return &regs_[reg * warpSize];
+    }
+
+    std::uint32_t *
+    regRow(unsigned reg)
+    {
+        return &regs_[reg * warpSize];
     }
 
     /** All-lane mask of predicate @p p. */
     ActiveMask predMask(unsigned p) const { return preds_[p]; }
 
+    /** Predicate @p p takes @p bits on @p lanes; other lanes keep theirs. */
     void
-    writePred(unsigned p, unsigned lane, bool v)
+    writePredLanes(unsigned p, ActiveMask lanes, ActiveMask bits)
     {
-        if (v)
-            preds_[p] |= 1u << lane;
-        else
-            preds_[p] &= ~(1u << lane);
+        preds_[p] = (preds_[p] & ~lanes) | (bits & lanes);
     }
 
     /** Special-register value for a lane. */

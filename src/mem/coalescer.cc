@@ -29,9 +29,9 @@ Coalescer::coalesce(const std::array<Addr, warpSize> &lane_addrs,
                     ActiveMask mask, unsigned width) const
 {
     SegmentList segments;
-    for (unsigned lane = 0; lane < warpSize; ++lane) {
-        if (!(mask & (1u << lane)))
-            continue;
+    // Lanes in ascending order: the list keeps first-touch issue order.
+    for (ActiveMask m = mask; m != 0; m &= m - 1) {
+        const unsigned lane = unsigned(std::countr_zero(m));
         // An access may straddle a segment boundary (rare: unaligned);
         // cover both touched segments.
         const Addr first = lane_addrs[lane] >> segmentShift_;

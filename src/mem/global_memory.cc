@@ -5,11 +5,16 @@
 
 namespace dtbl {
 
-GlobalMemory::GlobalMemory(std::uint64_t size_bytes)
-    : data_(size_bytes, 0)
+GlobalMemory::GlobalMemory(std::uint64_t size_bytes) : size_(size_bytes)
 {
     DTBL_ASSERT(size_bytes < (1ull << 32),
                 "device addresses are 32-bit; memory must be < 4GB");
+    // calloc, not a zero-filled vector: the kernel hands out zero pages
+    // lazily, so untouched device memory is neither written nor resident.
+    data_.reset(static_cast<std::uint8_t *>(
+        std::calloc(std::max<std::uint64_t>(size_bytes, 1), 1)));
+    if (!data_)
+        DTBL_FATAL("cannot allocate ", size_bytes, "B of device memory");
 }
 
 Addr
@@ -18,9 +23,9 @@ GlobalMemory::allocate(std::uint64_t bytes, std::uint64_t align)
     DTBL_ASSERT(align > 0 && (align & (align - 1)) == 0,
                 "alignment must be a power of two");
     const Addr base = (brk_ + align - 1) & ~(align - 1);
-    if (base + bytes > data_.size()) {
+    if (base + bytes > size_) {
         DTBL_FATAL("device out of memory: need ", bytes, "B at ", base,
-                   ", have ", data_.size(), "B total");
+                   ", have ", size_, "B total");
     }
     brk_ = base + bytes;
     allocs_.push_back({base, bytes});
@@ -45,9 +50,9 @@ GlobalMemory::inLiveAllocation(Addr a, std::uint64_t bytes) const
 void
 GlobalMemory::check(Addr a, std::uint64_t bytes) const
 {
-    if (a + bytes > data_.size() || a == 0) {
+    if (a + bytes > size_ || a == 0) {
         DTBL_PANIC("device memory access out of bounds: addr=", a,
-                   " size=", bytes, " mem=", data_.size());
+                   " size=", bytes, " mem=", size_);
     }
 }
 

@@ -4,12 +4,16 @@
  *
  * The timing model (caches/DRAM) is separate; this class only holds the
  * bytes. Device addresses are 32-bit in the ISA, so the store is < 4GB.
+ * The store is calloc'd: pages no run touches stay unbacked zero pages,
+ * so a device with 64 MiB costs only the memory its kernels use.
  */
 
 #ifndef DTBL_MEM_GLOBAL_MEMORY_HH
 #define DTBL_MEM_GLOBAL_MEMORY_HH
 
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/log.hh"
@@ -22,7 +26,7 @@ class GlobalMemory
   public:
     explicit GlobalMemory(std::uint64_t size_bytes);
 
-    std::uint64_t size() const { return data_.size(); }
+    std::uint64_t size() const { return size_; }
 
     /**
      * Allocate @p bytes with the given alignment; never freed (bump
@@ -92,7 +96,13 @@ class GlobalMemory
 
     void check(Addr a, std::uint64_t bytes) const;
 
-    std::vector<std::uint8_t> data_;
+    struct FreeBytes
+    {
+        void operator()(std::uint8_t *p) const { std::free(p); }
+    };
+
+    std::unique_ptr<std::uint8_t[], FreeBytes> data_;
+    std::uint64_t size_;
     /** All allocations, base-ascending (bump allocation never frees). */
     std::vector<Allocation> allocs_;
     std::uint64_t brk_ = 256; // keep address 0 unused (null)

@@ -497,6 +497,9 @@ TEST(Analyzer, AccessSafetyFactsForCleanKernel)
 TEST(Elision, SweepIsBitIdenticalAndFaster)
 {
     using clock = std::chrono::steady_clock;
+    // Each side's time per family is the min of kRuns runs, the two
+    // sides interleaved, so a burst of host load hits both alike.
+    constexpr int kRuns = 3;
     std::chrono::nanoseconds elidedWall{0}, fullWall{0};
     std::uint64_t totalElided = 0;
     std::uint64_t totalBatched = 0;
@@ -508,17 +511,26 @@ TEST(Elision, SweepIsBitIdenticalAndFaster)
         RunOptions off = on;
         off.elideChecks = false;
 
-        auto appOn = makeBenchmark(id);
-        const auto t0 = clock::now();
-        const BenchResult a = runBenchmark(*appOn, Mode::Dtbl,
-                                           GpuConfig::k20c(), on);
-        const auto t1 = clock::now();
-        auto appOff = makeBenchmark(id);
-        const BenchResult b = runBenchmark(*appOff, Mode::Dtbl,
-                                           GpuConfig::k20c(), off);
-        const auto t2 = clock::now();
-        elidedWall += t1 - t0;
-        fullWall += t2 - t1;
+        const auto timedRun = [&](const RunOptions &opts,
+                                  std::chrono::nanoseconds &best) {
+            auto app = makeBenchmark(id);
+            const auto t0 = clock::now();
+            BenchResult r = runBenchmark(*app, Mode::Dtbl,
+                                         GpuConfig::k20c(), opts);
+            best = std::min<std::chrono::nanoseconds>(best,
+                                                      clock::now() - t0);
+            return r;
+        };
+        auto bestOn = std::chrono::nanoseconds::max();
+        auto bestOff = std::chrono::nanoseconds::max();
+        const BenchResult a = timedRun(on, bestOn);
+        const BenchResult b = timedRun(off, bestOff);
+        for (int i = 1; i < kRuns; ++i) {
+            timedRun(on, bestOn);
+            timedRun(off, bestOff);
+        }
+        elidedWall += bestOn;
+        fullWall += bestOff;
 
         expectIdenticalRuns(a, b, id);
         EXPECT_TRUE(a.verified);
@@ -532,12 +544,12 @@ TEST(Elision, SweepIsBitIdenticalAndFaster)
     // The proofs must actually fire...
     EXPECT_GT(totalElided, 0u);
     EXPECT_GT(totalBatched, 0u);
-    // ...and buy wall-clock time across the sweep. The margin is large
-    // (elision removes the per-instruction Full-tier shadow tracking
-    // for proven kernels), so this is robust to scheduler noise.
+    // ...and buy wall-clock time across the sweep (elision removes the
+    // per-instruction Full-tier shadow tracking for proven kernels).
     EXPECT_LT(elidedWall.count(), fullWall.count())
         << "elided sweep took " << elidedWall.count() / 1e6
-        << " ms vs " << fullWall.count() / 1e6 << " ms without elision";
+        << " ms vs " << fullWall.count() / 1e6
+        << " ms without elision (min of " << kRuns << " per family)";
 }
 
 TEST(Elision, FaultyProgramsKeepIdenticalFindings)

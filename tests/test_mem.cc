@@ -74,6 +74,27 @@ TEST(GlobalMemory, OutOfMemoryIsFatal)
     EXPECT_THROW(mem.allocate(1 << 20), std::runtime_error);
 }
 
+TEST(GlobalMemory, FreshMemoryReadsZeroToTheLastByte)
+{
+    // Backed by calloc: untouched pages must still read as zero.
+    constexpr std::uint64_t size = 1 << 20;
+    GlobalMemory mem(size);
+    EXPECT_EQ(mem.size(), size);
+    EXPECT_EQ(mem.read32(256), 0u);
+    EXPECT_EQ(mem.read32(size / 2 + 4), 0u);
+    EXPECT_EQ(mem.read32(size - 4), 0u);
+    EXPECT_EQ(mem.read8(size - 1), 0u);
+    mem.write8(size - 1, 0x5a);
+    EXPECT_EQ(mem.read8(size - 1), 0x5au);
+    EXPECT_THROW(mem.read8(size), std::logic_error);
+}
+
+TEST(GlobalMemory, FourGigabytesIsRejectedBeforeAllocating)
+{
+    // Device addresses are 32-bit.
+    EXPECT_THROW(GlobalMemory(1ull << 32), std::logic_error);
+}
+
 TEST(GlobalMemory, UploadDownloadRoundTrip)
 {
     GlobalMemory mem(1 << 16);
